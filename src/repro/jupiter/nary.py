@@ -21,6 +21,7 @@ the space's :class:`~repro.jupiter.keys.KeyInterner`.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Dict, List, Optional, Protocol, Set
 
@@ -219,9 +220,13 @@ class NaryStateSpace(BaseStateSpace):
 
         Callers must feed the space operations whose contexts are
         expressed relative to the same floor from then on (the net
-        runtime's serial-encoded contexts do exactly that); the stale
-        absolute contexts inside already-stored transitions are never
-        used for attachment again, only their operation bodies are.
+        runtime's serial-encoded contexts do exactly that).  Stored
+        transition operations are relabelled with their source's new key
+        too: a later concurrent operation is transformed against them
+        (Algorithm 1), and :func:`~repro.ot.transform.transform` requires
+        both sides to share a context.  Every transition's context equals
+        its source key, before and after a rebase — the invariant
+        snapshots rely on to omit contexts.
         """
         floor = frozenset(floor)
         pruned = self.prune_below(floor)
@@ -236,7 +241,11 @@ class NaryStateSpace(BaseStateSpace):
             new_key = remap[key]
             node.key = new_key
             node.children = [
-                Transition(new_key, remap[t.target], t.operation)
+                Transition(
+                    new_key,
+                    remap[t.target],
+                    dataclasses.replace(t.operation, context=new_key),
+                )
                 for t in node.children
             ]
             nodes[new_key] = node

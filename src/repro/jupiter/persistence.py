@@ -16,11 +16,22 @@ behaviour to the original (verified structurally in the tests by
 comparing state-space signatures and resuming runs on the restored
 replica).
 
+A state-space snapshot stores **documents only at root states** plus the
+ordered transitions.  Every CP1 square of the n-ary state-space commutes
+(§6.1), so each state's list is implied by any ancestor's list and the
+operations on the transitions between them; and every transition's
+context equals its source key, so no operation context is stored either.
+Restore regrows the space from its roots through the space's own lazy
+growth path, re-checking every square as it goes (see
+:func:`space_from_obj`).  A checkpoint is therefore O(transitions + root
+document), not O(states × document).
+
 The second half of the module is the **server durability subsystem**
 (:class:`ServerWriteAheadLog`): the serialisation authority appends every
 operation it serialises — with its assigned serial and origin — to a
 write-ahead log *before* broadcasting it, periodically compacts the log
-into a full snapshot, and recovers after a crash by restoring the latest
+into a full checkpoint or a delta that costs O(changes since the last
+compaction), and recovers after a crash by restoring the latest
 snapshot and replaying the log suffix through a real
 :class:`~repro.jupiter.css.CssServer`.  Recovery re-checks the paper's
 ordering invariants as it goes: every replayed operation must receive
@@ -33,12 +44,12 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.ids import OpId, ReplicaId
+from repro.common.ids import OpId, ReplicaId, StateKey, format_opid_set
 from repro.document.elements import Element
 from repro.document.list_document import ListDocument
-from repro.errors import ProtocolError
+from repro.errors import DocumentError, ProtocolError, StateSpaceError
 from repro.jupiter.css import CssClient, CssServer
 from repro.jupiter.messages import ClientOperation, ServerOperation
 from repro.jupiter.nary import NaryStateSpace
@@ -87,7 +98,13 @@ def operation_to_obj(
     return obj
 
 
-def operation_from_obj(obj: Dict[str, Any]) -> Operation:
+def operation_from_obj(
+    obj: Dict[str, Any], context: Optional[StateKey] = None
+) -> Operation:
+    """Decode an operation; ``context`` overrides (or replaces a missing)
+    stored context."""
+    if context is None:
+        context = frozenset(opid_from_obj(o) for o in obj["context"])
     return Operation(
         kind=OpKind(obj["kind"]),
         opid=opid_from_obj(obj["opid"]),
@@ -97,7 +114,7 @@ def operation_from_obj(obj: Dict[str, Any]) -> Operation:
             else None
         ),
         position=obj["position"],
-        context=frozenset(opid_from_obj(o) for o in obj["context"]),
+        context=context,
     )
 
 
@@ -175,88 +192,142 @@ def record_operation(record: Dict[str, Any], oracle=None) -> Operation:
         raise ProtocolError(
             "compact WAL record needs an order oracle to decode"
         )
-    return Operation(
-        kind=OpKind(obj["kind"]),
-        opid=opid_from_obj(obj["opid"]),
-        element=(
-            element_from_obj(obj["element"])
-            if obj["element"] is not None
-            else None
-        ),
-        position=obj["position"],
-        context=context_from_compact(record["ctx"], oracle),
+    return operation_from_obj(
+        obj, context=context_from_compact(record["ctx"], oracle)
     )
 
 
 # ----------------------------------------------------------------------
 # State-space codec
 # ----------------------------------------------------------------------
+def _node_to_obj(node: StateNode, with_document: bool) -> Dict[str, Any]:
+    """One state: its key, ordered out-transitions, and (roots only) list.
+
+    Transition operations omit their context: it is the source key.
+    """
+    obj: Dict[str, Any] = {"key": _state_key_to_obj(node.key)}
+    if with_document:
+        obj["document"] = [element_to_obj(e) for e in node.document]
+    obj["children"] = [
+        {
+            "operation": operation_to_obj(t.operation, with_context=False),
+            "target": _state_key_to_obj(t.target),
+        }
+        for t in node.children
+    ]
+    return obj
+
+
 def space_to_obj(space: NaryStateSpace) -> Dict[str, Any]:
-    """Serialise a state-space: nodes (with documents) and transitions."""
-    nodes = []
-    # iter_documents materialises lazy documents through a transient memo,
-    # so snapshotting does not permanently cache every node's document.
-    for key, document in space.iter_documents():
-        node = space.node(key)
-        nodes.append(
-            {
-                "key": _state_key_to_obj(key),
-                "document": [element_to_obj(e) for e in document],
-                "children": [
-                    {
-                        "operation": operation_to_obj(t.operation),
-                        "target": _state_key_to_obj(t.target),
-                    }
-                    for t in node.children
-                ],
-            }
-        )
+    """Serialise a state-space: root documents plus ordered transitions.
+
+    Only a *root* — a state no transition reaches: the initial state, or
+    the GC floor state after a rebase — carries its ``"document"``; every
+    other state's list is implied by an in-transition.  No transition
+    carries its operation's context, which always equals its source key
+    (:meth:`NaryStateSpace.rebase_below` keeps that true across
+    rebases).  The cost is O(transitions + root documents).
+    """
+    nodes = space._nodes
+    reached = {t.target for node in nodes.values() for t in node.children}
     return {
         "version": FORMAT_VERSION,
         "final": _state_key_to_obj(space.final_key),
         "ot_count": space.ot_count,
-        "nodes": nodes,
+        "nodes": [
+            _node_to_obj(node, key not in reached)
+            for key, node in nodes.items()
+        ],
     }
 
 
 def space_from_obj(obj: Dict[str, Any], oracle) -> NaryStateSpace:
-    """Rebuild a state-space from its serialised form.
+    """Rebuild a state-space by regrowing it from its root documents.
 
-    Reconstruction bypasses :meth:`NaryStateSpace.integrate` — the stored
-    structure already encodes every square and sibling order — and
-    repopulates the node table directly.
+    The states no stored transition reaches start the walk, each with its
+    stored document.  Every transition is then re-attached through the
+    space's own growth path (:meth:`~BaseStateSpace._attach`): the first
+    edge into a state creates it *pending* — ``(parent, op)``, no
+    document — and every further edge re-checks the CP1 square by length
+    and content fingerprint, so the restored space stays lazy.  Each
+    operation's context is set to its (interned) source key.
+
+    Raises :class:`ProtocolError` for a transition whose stored target
+    differs from the one its operation leads to, a transition to a
+    missing state, a broken CP1 square, and a state no document reaches.
+
+    Snapshots that store a document on every state and a context on
+    every operation load through the same walk: the extra documents and
+    the contexts are not read.
     """
     if obj.get("version") != FORMAT_VERSION:
         raise ProtocolError(
             f"unsupported snapshot version {obj.get('version')!r}"
         )
     space = NaryStateSpace(oracle)
-    nodes = space._nodes  # populated wholesale during restore
-    nodes.clear()
     # Snapshots carry plain sorted frozensets on the wire; restore
     # re-interns every key so the rebuilt space hits the same identity
     # fast paths as one grown through integrate().
     intern = space._interner.intern
-    for node_obj in obj["nodes"]:
-        key = intern(_state_key_from_obj(node_obj["key"]))
-        document = ListDocument(
-            element_from_obj(e) for e in node_obj["document"]
-        )
-        nodes[key] = StateNode(key, document)
-    for node_obj in obj["nodes"]:
-        key = intern(_state_key_from_obj(node_obj["key"]))
-        node = nodes[key]
+    extend = space._interner.extend
+    keys = [intern(_state_key_from_obj(n["key"])) for n in obj["nodes"]]
+    known = set(keys)
+    if len(known) != len(keys):
+        raise ProtocolError("snapshot lists a state twice")
+    edges: Dict[StateKey, List[Any]] = {}
+    reached = set()
+    for key, node_obj in zip(keys, obj["nodes"]):
+        out = edges[key] = []
         for child in node_obj["children"]:
             target = intern(_state_key_from_obj(child["target"]))
-            if target not in nodes:
+            if target not in known:
                 raise ProtocolError(
                     "snapshot transition points at a missing state"
                 )
-            node.children.append(
-                Transition(key, target, operation_from_obj(child["operation"]))
+            reached.add(target)
+            out.append((target, child["operation"]))
+    nodes = space._nodes
+    nodes.clear()
+    frontier = []
+    for key, node_obj in zip(keys, obj["nodes"]):
+        if key not in reached and "document" in node_obj:
+            nodes[key] = StateNode(
+                key,
+                ListDocument(
+                    element_from_obj(e) for e in node_obj["document"]
+                ),
             )
+            frontier.append(key)
+    while frontier:
+        key = frontier.pop()
+        source = nodes[key]
+        for target, op_obj in edges[key]:
+            operation = operation_from_obj(op_obj, context=key)
+            if extend(key, operation.opid) is not target:
+                raise ProtocolError(
+                    f"snapshot transition {operation} from "
+                    f"{format_opid_set(key)} is stored with target "
+                    f"{format_opid_set(target)}"
+                )
+            created = target not in nodes
+            try:
+                space._attach(source, operation)
+            except (StateSpaceError, DocumentError) as error:
+                raise ProtocolError(f"snapshot is inconsistent: {error}")
+            source.children.append(Transition(key, target, operation))
+            if created:
+                frontier.append(target)
+    if len(nodes) != len(keys):
+        orphan = next(key for key in keys if key not in nodes)
+        raise ProtocolError(
+            f"snapshot state {format_opid_set(orphan)} is reached by no "
+            "document"
+        )
+    # Keep the stored node order, so a restored space snapshots to the
+    # same bytes as the original.
+    space._nodes = {key: nodes[key] for key in keys}
     space.final_key = intern(_state_key_from_obj(obj["final"]))
-    if space.final_key not in nodes:
+    if space.final_key not in known:
         raise ProtocolError("snapshot final state missing from node table")
     space.ot_count = int(obj.get("ot_count", 0))
     return space
@@ -452,8 +523,7 @@ def _validate_wal_delta(delta: Any) -> Dict[str, Any]:
     """Raise :class:`ProtocolError` unless ``delta`` is a delta-snapshot."""
     if not isinstance(delta, dict):
         raise ProtocolError(f"WAL delta is not an object: {delta!r}")
-    for field in ("upto", "floor", "final", "added", "removed", "touched",
-                  "serials"):
+    for field in ("upto", "floor", "final", "added", "touched", "serials"):
         if field not in delta:
             raise ProtocolError(f"WAL delta missing field {field!r}")
     for node_obj in delta["added"]:
@@ -485,9 +555,14 @@ class ServerWriteAheadLog:
 
     Compaction is **incremental**: after the first full checkpoint,
     subsequent compactions emit *delta snapshots* — the state-space nodes
-    added, removed, or re-ordered since the previous compaction, plus the
-    serials assigned since — and every ``checkpoint_every`` deltas (or
-    whenever active-window GC moved the rebase floor) a fresh full
+    added since the previous compaction and those whose transition list
+    grew, without documents, plus the serials assigned since — so a
+    delta's size is O(changes), whatever the window or document size.
+    Finding the changes is one pass of dictionary probes over the live
+    state keys; nothing unchanged is serialised.  Every
+    ``checkpoint_every`` deltas, and whenever the diff base is gone (the
+    rebase floor moved, states were pruned, or the server's state-space
+    was replaced by recovery or a state transfer), a fresh full
     checkpoint restarts the chain.  Recovery merges checkpoint + deltas
     back into one snapshot and replays the record suffix as before.
 
@@ -530,10 +605,12 @@ class ServerWriteAheadLog:
         self.last_epoch = 0
         self._next_serial = 1
         self._since_snapshot = 0
-        # Diff base for the next delta: node-key -> child-transition count
-        # as of the previous compaction.  ``None`` (fresh or restored log)
-        # forces the next compaction to be a full checkpoint.
-        self._shadow: Optional[Dict[Any, int]] = None
+        # Diff base for the next delta: live state key -> child-transition
+        # count as of the previous compaction, valid only for the same
+        # state-space object at the same rebase base.  ``None`` (fresh or
+        # restored log) forces the next compaction to be a full checkpoint.
+        self._shadow: Optional[Dict[StateKey, int]] = None
+        self._shadow_space: Optional[NaryStateSpace] = None
         self._shadow_upto = 0
         self._shadow_base = 0
         self._obs = get_obs()
@@ -619,6 +696,38 @@ class ServerWriteAheadLog:
         """Canonical hashable form of a serialised state key."""
         return tuple((str(o[0]), int(o[1])) for o in key_obj)
 
+    def _dirty_nodes(
+        self, server: CssServer
+    ) -> Optional[Tuple[List[StateNode], List[StateNode]]]:
+        """The ``(added, touched)`` states since the previous compaction.
+
+        ``None`` when no delta can express the change: there is no diff
+        base, the state-space object or its rebase base changed, or
+        states were pruned (a pruned parent can turn a survivor into a
+        root, whose document only a full checkpoint carries).
+        Transition lists are insert-only, so a changed child count is
+        exactly a changed list.
+        """
+        shadow = self._shadow
+        space = server.space
+        if (
+            shadow is None
+            or space is not self._shadow_space
+            or server.oracle.base != self._shadow_base
+        ):
+            return None
+        added: List[StateNode] = []
+        touched: List[StateNode] = []
+        for key, node in space._nodes.items():
+            count = shadow.get(key)
+            if count is None:
+                added.append(node)
+            elif count != len(node.children):
+                touched.append(node)
+        if len(space._nodes) - len(added) != len(shadow):
+            return None
+        return added, touched
+
     def compact(
         self, server: CssServer, retain_after: Optional[int] = None
     ) -> int:
@@ -631,13 +740,13 @@ class ServerWriteAheadLog:
         records truncated.
 
         The first compaction (and every ``checkpoint_every``-th one, and
-        any taken after active-window GC moved the rebase floor) emits a
-        **full checkpoint**; the rest emit a **delta** against the
-        previous compaction — nodes added and removed since, nodes whose
-        ordered child-transition list grew (transition lists are
-        insert-only, so a changed length is exactly a changed list), and
-        the serials assigned since.  ``last_compaction_mode`` tells the
-        disk layer which of the two it got.
+        any taken after the diff base went away — see
+        :meth:`_dirty_nodes`) emits a **full checkpoint**; the rest emit a
+        **delta** against the previous compaction — the states added
+        since and the states whose ordered child-transition list grew,
+        without documents, plus the serials assigned since.  A delta
+        serialises O(changes), not O(window).  ``last_compaction_mode``
+        tells the disk layer which of the two it got.
         """
         obs = self._obs
         started = time.perf_counter() if obs.enabled else 0.0
@@ -653,36 +762,24 @@ class ServerWriteAheadLog:
         # the last compaction — stored so trimmed snapshots keep the
         # per-origin consumption counts recovery re-seeds sessions with.
         counts = self.origin_counts()
-        delta_mode = (
-            self.snapshot is not None
-            and self._shadow is not None
-            and base == self._shadow_base
+        dirty = (
+            self._dirty_nodes(server)
+            if self.snapshot is not None
             and len(self.deltas) < self.checkpoint_every
+            else None
         )
-        if delta_mode:
-            space_obj = space_to_obj(server.space)
-            shadow = self._shadow
-            current = {
-                self._node_key(n["key"]): n for n in space_obj["nodes"]
-            }
+        space = server.space
+        if dirty is not None:
+            added, touched = dirty
             delta = {
                 "upto": covered,
                 "floor": floor,
                 "base": base,
-                "final": space_obj["final"],
-                "ot_count": space_obj["ot_count"],
-                "added": [
-                    current[k] for k in sorted(current) if k not in shadow
-                ],
-                "removed": [
-                    [list(pair) for pair in k]
-                    for k in sorted(shadow)
-                    if k not in current
-                ],
+                "final": _state_key_to_obj(space.final_key),
+                "ot_count": space.ot_count,
+                "added": [_node_to_obj(node, False) for node in added],
                 "touched": [
-                    {"key": n["key"], "children": n["children"]}
-                    for k, n in sorted(current.items())
-                    if k in shadow and len(n["children"]) != shadow[k]
+                    _node_to_obj(node, False) for node in touched
                 ],
                 "serials": [
                     [opid_to_obj(opid), serial]
@@ -698,6 +795,8 @@ class ServerWriteAheadLog:
             self.deltas.append(delta)
             self.last_delta = delta
             self.last_compaction_mode = "delta"
+            for node in added + touched:
+                self._shadow[node.key] = len(node.children)
         else:
             self.snapshot = snapshot_server(server)
             self.snapshot["origin_counts"] = {
@@ -706,13 +805,12 @@ class ServerWriteAheadLog:
             self.deltas = []
             self.last_delta = None
             self.last_compaction_mode = "full"
-            space_obj = self.snapshot["space"]
-        self._shadow = {
-            self._node_key(n["key"]): len(n["children"])
-            for n in space_obj["nodes"]
-        }
+            self._shadow = {
+                key: len(node.children) for key, node in space._nodes.items()
+            }
+            self._shadow_space = space
+            self._shadow_base = base
         self._shadow_upto = covered
-        self._shadow_base = base
         kept = [r for r in self.records if r["serial"] > floor]
         truncated = len(self.records) - len(kept)
         self.records = kept
@@ -742,7 +840,9 @@ class ServerWriteAheadLog:
         nodes = {self._node_key(n["key"]): n for n in space["nodes"]}
         serials = [list(item) for item in self.snapshot["serials"]]
         for delta in self.deltas:
-            for key_obj in delta["removed"]:
+            # Deltas written before root-only snapshots could remove
+            # states; current ones never do (a prune forces a checkpoint).
+            for key_obj in delta.get("removed", ()):
                 nodes.pop(self._node_key(key_obj), None)
             for patch in delta["touched"]:
                 key = self._node_key(patch["key"])

@@ -352,11 +352,13 @@ class BaseStateSpace:
         """Yield ``(key, document)`` for every state, without permanently
         caching lazy nodes.
 
-        Snapshots need every document; materialising them through
-        :attr:`StateNode.document` would pin them all in memory for the
-        life of the space.  This walk shares the per-chain work through a
-        transient memo instead, so a snapshot costs the same transient
-        O(states × length) it always did and the space stays lazy.
+        Equivalence checks compare every state's list across replicas;
+        materialising them through :attr:`StateNode.document` would pin
+        them all in memory for the life of the space.  This walk shares
+        the per-chain work through a transient memo instead, so it costs
+        a transient O(states × length) and the space stays lazy.
+        Snapshots do not use it: they store documents only at root states
+        (see :func:`repro.jupiter.persistence.space_to_obj`).
         """
         memo: Dict[int, ListDocument] = {}
 

@@ -60,7 +60,7 @@ import logging
 import os
 import time
 import urllib.parse
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from repro.common.ids import SERVER_ID, ReplicaId
 from repro.document.list_document import ListDocument
@@ -197,6 +197,9 @@ class _DocShard:
         }
         self.gc_runs = 0
         self.states_pruned = 0
+        #: append handle on ``wal_path``, opened on first use, reopened
+        #: after every full rewrite, closed when the server stops
+        self._disk: Optional[TextIO] = None
 
     @property
     def record_floor(self) -> int:
@@ -223,7 +226,21 @@ class _DocShard:
     def rewrite_disk(self) -> None:
         """Write the full WAL (header + records) — open and compaction."""
         if self.wal_path is not None:
+            self.close_disk()
             save_wal(self.wal, self.wal_path)
+
+    def close_disk(self) -> None:
+        """Close the append handle (the next append reopens it)."""
+        if self._disk is not None:
+            self._disk.close()
+            self._disk = None
+
+    def _append_line(self, obj: Dict[str, Any]) -> None:
+        """Append one JSON line and flush it to the operating system."""
+        if self._disk is None:
+            self._disk = open(self.wal_path, "a", encoding="utf-8")
+        self._disk.write(json.dumps(obj, sort_keys=True) + "\n")
+        self._disk.flush()
 
     def write_compaction(self) -> None:
         """Persist the compaction that just ran, as cheaply as it allows.
@@ -241,12 +258,7 @@ class _DocShard:
             and self.wal.last_delta is not None
             and os.path.exists(self.wal_path)
         ):
-            with open(self.wal_path, "a", encoding="utf-8") as handle:
-                handle.write(
-                    json.dumps({"delta": self.wal.last_delta}, sort_keys=True)
-                    + "\n"
-                )
-                handle.flush()
+            self._append_line({"delta": self.wal.last_delta})
         else:
             self.rewrite_disk()
 
@@ -254,13 +266,10 @@ class _DocShard:
         """Append the newest record as one line; flushed before any
         broadcast or acknowledgement leaves the process, so an
         acknowledged operation survives a SIGKILL (``load_wal`` drops a
-        torn final line, never an acked one)."""
-        if self.wal_path is None:
-            return
-        record = self.wal.records[-1]
-        with open(self.wal_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-            handle.flush()
+        torn final line, never an acked one).  The file stays open
+        between appends."""
+        if self.wal_path is not None:
+            self._append_line(self.wal.records[-1])
 
 
 def _doc_filename(doc: str) -> str:
@@ -570,6 +579,7 @@ class NetServer:
             self._asyncio_server.close()
             await self._asyncio_server.wait_closed()
         for shard in self.shards.values():
+            shard.close_disk()
             for channel in shard.channels.values():
                 if channel.outbound is not None:
                     channel.outbound.abort()

@@ -171,3 +171,40 @@ class TestCssRebaseEquivalence:
         server, _, _ = self.run_cluster(rebase_at=4)
         assert server.rebase_to_serial(4) == 0
         assert server.rebase_to_serial(3) == 0
+
+
+class TestRebasedTransitionContexts:
+    """Stored transitions are relabelled with their source's rebased key.
+
+    A concurrent operation whose (relative) context names a state below
+    the old final state is transformed against transitions stored
+    before the rebase; :func:`~repro.ot.transform.transform` needs both
+    sides on the same context, so stale absolute contexts would raise
+    ``ContextMismatchError`` here.
+    """
+
+    def chain_server(self):
+        server = CssServer("s", ["c1", "c2"])
+        writer = CssClient("c1")
+        for index in range(8):
+            result = writer.generate(
+                OpSpec(kind="ins", position=index, value=chr(ord("a") + index))
+            )
+            server.receive("c1", result.outgoing)
+        return server
+
+    def test_concurrent_op_integrates_across_a_rebase(self):
+        server = self.chain_server()
+        server.rebase_to_serial(4)
+        late = insert(OpId("c2", 1), "z", 0, context=frozenset())
+        server.receive("c2", ClientOperation(late))
+        assert server.document.as_string() == "zabcdefgh"
+        assert server.oracle.last_serial == 9
+
+    def test_every_context_equals_its_source_key(self):
+        server = self.chain_server()
+        server.rebase_to_serial(4)
+        transitions = list(server.space.transitions())
+        assert transitions
+        for transition in transitions:
+            assert transition.operation.context == transition.source

@@ -431,5 +431,5 @@ class TestInternedKeysSurviveRestore:
             for key in lazy_before
             if not space.node(key).materialised
         ]
-        # iter_documents used a transient memo: nothing new was pinned.
+        # Only root documents are read: nothing new was pinned.
         assert still_lazy == lazy_before

@@ -14,11 +14,13 @@ localhost sockets and assert the three user-visible consequences:
 """
 
 import asyncio
+import random
 
 import pytest
 
 from repro import obs
 from repro.errors import ProtocolError
+from repro.jupiter.persistence import load_wal
 from repro.model.schedule import OpSpec
 from repro.net.client import NetClient
 from repro.net.codec import DEFAULT_DOC, document_signature, encode_envelope
@@ -251,6 +253,99 @@ class TestActiveWindowGc:
             await server.stop()
 
         _run(scenario())
+
+
+class TestConcurrentWritersAcrossRebases:
+    """Several writers whose edits interleave while GC keeps rebasing.
+
+    An edit generated before the writer saw the newest serials reaches
+    the server after it rebased, and is transformed against transitions
+    stored before that rebase — the multi-writer path one writer never
+    takes.  With a disk WAL, delta compactions also run between rebases.
+    """
+
+    @pytest.mark.parametrize("codec", ["bin", "json"])
+    def test_writers_converge_across_many_rebases(self, codec, tmp_path):
+        async def scenario():
+            server = await _started_server(wal_dir=str(tmp_path), **_FAST_GC)
+            names = ["c1", "c2", "c3"]
+            clients = [
+                NetClient(name, "127.0.0.1", server.port, codecs=[codec])
+                for name in names
+            ]
+            for client in clients:
+                await client.connect()
+            rng = random.Random(7)
+            total = 0
+            for _round in range(30):
+                for client in clients:
+                    for _ in range(rng.randint(1, 4)):
+                        length = len(client.css.document)
+                        if length and rng.random() < 0.2:
+                            spec = OpSpec("del", rng.randrange(length))
+                        else:
+                            spec = OpSpec(
+                                "ins", rng.randint(0, length), "abc"[total % 3]
+                            )
+                        await client.generate(spec)
+                        total += 1
+                await asyncio.sleep(0.03)
+            converged = [
+                await client.wait_converged(total, timeout=30)
+                for client in clients
+            ]
+            shard = server.shards[DEFAULT_DOC]
+            results = (
+                converged,
+                {client.signature() for client in clients},
+                document_signature(server.server.document),
+                shard.gc_runs,
+                server.server.oracle.last_serial,
+                shard.wal_path,
+            )
+            for client in clients:
+                await client.close()
+            await server.stop()
+            return results, total
+
+        results, total = _run(scenario())
+        converged, signatures, server_signature, rebases, last, path = results
+        assert converged == [True, True, True]
+        assert signatures == {server_signature}
+        assert last == total
+        assert rebases >= 5
+        # The file (checkpoints, delta lines, records) recovers the same
+        # document.
+        recovered = load_wal(path).recover()
+        assert document_signature(recovered.document) == server_signature
+
+
+class TestWalAppendHandle:
+    def test_one_handle_across_appends_closed_on_stop(self, tmp_path):
+        async def scenario():
+            server = await _started_server(
+                wal_dir=str(tmp_path), snapshot_every=1000
+            )
+            client = NetClient("c1", "127.0.0.1", server.port)
+            await client.connect()
+            await client.generate(OpSpec("ins", 0, "a"))
+            assert await client.wait_converged(1, timeout=10)
+            shard = server.shards[DEFAULT_DOC]
+            handle = shard._disk
+            for index in range(5):
+                await client.generate(OpSpec("ins", index, "b"))
+            assert await client.wait_converged(6, timeout=10)
+            # Every acknowledged record is already in the file.
+            on_disk = load_wal(shard.wal_path).last_serial
+            kept = shard._disk is handle
+            await client.close()
+            await server.stop()
+            return handle, kept, on_disk, shard._disk
+
+        handle, kept, on_disk, after_stop = _run(scenario())
+        assert handle is not None and kept
+        assert on_disk == 6
+        assert after_stop is None and handle.closed
 
 
 class TestGcDurability:
